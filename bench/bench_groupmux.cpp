@@ -1,34 +1,35 @@
-// GroupMux capacity (BENCH_groupmux.json): how many multiplexed group
-// deployments one core sustains, and what the mux machinery costs against
-// running the same deployments one at a time.
+// GroupMux capacity (BENCH_groupmux.json): how many group deployments one
+// core sustains when run_mux runs them one at a time on one pooled cluster,
+// and what that pooling saves against building a cluster per group.
 //
 //   * BM_GroupMuxScale/N — one mux plan of N mostly-idle groups (bursty
 //     reconfig + a sparse client-session trickle over a long per-group
 //     horizon, heartbeat detection), run to completion on one thread.  The
-//     headline row is N = 10000: ten thousand pooled deployments churned
-//     through one process.  Counters:
+//     headline row is N = 10000: ten thousand deployments churned through
+//     one process.  Counters:
 //       groups_per_s — whole deployments concluded per second of wall time
 //                      (the "groups sustained per core" figure: a group
 //                      whose plan lifetime is L ticks is "sustained" when
-//                      groups_per_s x L/tick_rate >= resident population —
-//                      at these rates the pool is drained far faster than
-//                      the plan horizon advances)
+//                      groups_per_s x L/tick_rate >= the plan's live
+//                      population)
 //       ops_per_s    — aggregate client session ops served per second
 //       skip_ratio   — fast-forwarded / total simulated ticks: how close
 //                      to free the idle spans are (the mostly-idle claim)
-//       occupancy    — mean slot-pool occupancy over the plan horizon
-//       peak_resident— max concurrently-live deployments (slot pool size)
+//       occupancy    — mean live groups of the modeled fleet over the plan
+//                      horizon, as a fraction of peak_resident
+//       peak_resident— max concurrently live groups in the plan (a plan
+//                      property; the engine holds one cluster)
 //       failed       — groups with a dirty verdict (must be 0)
 //
-//   * BM_GroupMuxAB_Mux/N vs BM_GroupMuxAB_Serial/N — the A/B: the same
-//     N-group plan executed (a) through the mux (pooled slots, sliced
-//     cohort turns) and (b) as N independent one-shot deployments, each on
-//     a freshly constructed Cluster — the "one cluster at a time" loop a
-//     process-per-group fleet would cost, minus the OS overhead.  Both
-//     sides replay byte-identical schedules (mux_test pins the trace-hash
-//     equality); the delta is pure engine overhead: slab/arena reuse vs
-//     rebuild, plus the cohort heap.  Protocol-only (no sessions) so the
-//     comparison isolates the engines.
+//   * BM_GroupMuxAB_Pooled/N vs BM_GroupMuxAB_Fresh/N — the A/B: the same
+//     N-group plan executed (a) by run_mux, every group on the one pooled
+//     Cluster it reset()s per group, and (b) as N independent one-shot
+//     deployments, each on a freshly constructed Cluster — the loop a
+//     process-per-group fleet would run, minus the OS overhead.  Both sides
+//     replay byte-identical schedules (mux_test pins the trace-hash
+//     equality); the pooled side also pays plan and schedule generation, so
+//     the delta is pooled reset vs rebuild, net of generation.
+//     Protocol-only (no sessions) so the comparison isolates the engines.
 //
 // Like every committed BENCH_*.json, numbers must come from a Release tree
 // (the bench-report target refuses anything else).
@@ -106,20 +107,20 @@ CapturedPlan capture(const mux::MuxOptions& m, uint64_t seed) {
   return cap;
 }
 
-void run_ab(benchmark::State& state, bool through_mux) {
+void run_ab(benchmark::State& state, bool pooled) {
   const size_t groups = static_cast<size_t>(state.range(0));
   mux::MuxOptions m = fleet(groups);
   m.with_sessions = false;  // isolate the engines; no app layer on either side
-  const CapturedPlan cap = through_mux ? CapturedPlan{} : capture(m, 1);
+  const CapturedPlan cap = pooled ? CapturedPlan{} : capture(m, 1);
   uint64_t failures = 0;
   for (auto _ : state) {
-    if (through_mux) {
+    if (pooled) {
       const mux::MuxResult r = mux::run_mux(1, m);
       failures += r.failures;
       benchmark::DoNotOptimize(r.trace_hash);
     } else {
       // One deployment at a time, each on a freshly built cluster — the
-      // no-mux fleet: construct, replay, verdict, tear down, next.
+      // fresh-cluster fleet: construct, replay, verdict, tear down, next.
       for (const scenario::Schedule& s : cap.schedules) {
         const scenario::ExecResult r = scenario::execute(s, cap.exec);
         if (!r.ok()) ++failures;
@@ -136,9 +137,9 @@ void run_ab(benchmark::State& state, bool through_mux) {
 }  // namespace
 
 static void BM_GroupMuxScale(benchmark::State& s) { run_scale(s); }
-static void BM_GroupMuxAB_Mux(benchmark::State& s) { run_ab(s, true); }
-static void BM_GroupMuxAB_Serial(benchmark::State& s) { run_ab(s, false); }
+static void BM_GroupMuxAB_Pooled(benchmark::State& s) { run_ab(s, true); }
+static void BM_GroupMuxAB_Fresh(benchmark::State& s) { run_ab(s, false); }
 
 BENCHMARK(BM_GroupMuxScale)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GroupMuxAB_Mux)->Arg(512)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GroupMuxAB_Serial)->Arg(512)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GroupMuxAB_Pooled)->Arg(512)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GroupMuxAB_Fresh)->Arg(512)->Unit(benchmark::kMillisecond);

@@ -7,9 +7,8 @@
 // across the heap.  A tiled layout keeps the dense-matrix access pattern
 // (shift/mask indexing, one contiguous tile per 64x64 neighbourhood) while
 // only materialising the neighbourhoods that are actually touched — the
-// right shape both for n > 512 single-group worlds (a handful of busy
-// channels in a huge id square) and for the GroupMux directory (thousands
-// of group ids, dense in ranges, sparse overall).
+// right shape for n > 512 single-group worlds (a handful of busy channels
+// in a huge id square).
 //
 // Lifecycle matches the pool/reset discipline (tests/README.md "Memory
 // discipline"): clear() detaches every live tile into a free pool instead
@@ -105,52 +104,6 @@ class TiledGrid {
   std::vector<std::vector<std::unique_ptr<Tile>>> rows_;
   std::vector<std::unique_ptr<Tile>> pool_;
   size_t live_tiles_ = 0;
-};
-
-/// Sparse 1-D array over bounded ids with the same lazy-tile + pool
-/// lifecycle; the GroupMux directory (group id -> slot) uses this instead
-/// of per-id hashing.
-template <typename T>
-class TiledArray {
- public:
-  static constexpr uint32_t kTileBits = 10;  // 1024 cells per tile
-  static constexpr uint32_t kTileCells = 1u << kTileBits;
-  static constexpr uint32_t kTileMask = kTileCells - 1;
-
-  T& at(uint32_t i) {
-    const uint32_t t = i >> kTileBits;
-    if (t >= tiles_.size()) tiles_.resize(t + 1);
-    if (!tiles_[t]) tiles_[t] = acquire_tile();
-    return (*tiles_[t])[i & kTileMask];
-  }
-
-  T get(uint32_t i) const {
-    const uint32_t t = i >> kTileBits;
-    if (t >= tiles_.size() || !tiles_[t]) return T{};
-    return (*tiles_[t])[i & kTileMask];
-  }
-
-  void clear() {
-    for (auto& t : tiles_) {
-      if (t) pool_.push_back(std::move(t));
-    }
-  }
-
- private:
-  using Tile = std::vector<T>;
-
-  std::unique_ptr<Tile> acquire_tile() {
-    if (!pool_.empty()) {
-      std::unique_ptr<Tile> t = std::move(pool_.back());
-      pool_.pop_back();
-      t->assign(kTileCells, T{});
-      return t;
-    }
-    return std::make_unique<Tile>(kTileCells);
-  }
-
-  std::vector<std::unique_ptr<Tile>> tiles_;
-  std::vector<std::unique_ptr<Tile>> pool_;
 };
 
 }  // namespace gmpx::common

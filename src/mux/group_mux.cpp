@@ -1,17 +1,13 @@
 #include "mux/group_mux.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <memory>
-#include <optional>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/tiled.hpp"
 #include "harness/cluster.hpp"
-#include "soak/availability.hpp"
-#include "soak/host.hpp"
+#include "soak/runner.hpp"
 
 namespace gmpx::mux {
 
@@ -37,261 +33,33 @@ constexpr scenario::Profile kBaseProfiles[] = {
     scenario::Profile::kLossy,
 };
 
-/// One pooled deployment slot.  The Cluster persists across occupancies
-/// (reset() is capacity-preserving); everything else is per-group state
-/// rebuilt on create.  Slots live behind unique_ptr so addresses stay
-/// stable for the reference captures in StagedRun and SoakHost.
-struct GroupSlot {
-  harness::Cluster cluster{harness::ClusterOptions{}};
-  const GroupSpec* spec = nullptr;
-  scenario::Schedule sched;
-  soak::Workload workload;
-  scenario::ExecOptions exec;
-  std::optional<soak::SoakHost> host;
-  std::optional<scenario::StagedRun> run;
-  bool concluded = false;
-};
-
-/// Cohort activation heap entry, ordered by (due, seq) like the sim's own
-/// event queue: global virtual tick first, insertion order as tiebreak.
-enum class Phase : uint8_t { kCreate, kAdvance, kRetire };
-
-struct Entry {
-  Tick due = 0;
-  uint64_t seq = 0;
-  uint32_t gid = 0;
-  Phase phase = Phase::kCreate;
-};
-
-struct EntryCmp {
-  bool operator()(const Entry& a, const Entry& b) const {
-    if (a.due != b.due) return a.due > b.due;  // min-heap via std::priority_queue-less heap ops
-    return a.seq > b.seq;
+/// Per-group fault schedule: the spec's profile over the shared knobs,
+/// stretched to the session horizon with restart churn mixed in (the
+/// single-group soak sweep's exact recipe), storm-tuned per detector.
+scenario::Schedule group_schedule(const GroupSpec& spec, const MuxOptions& opts) {
+  scenario::GeneratorOptions gen = opts.gen;
+  gen.profile = spec.profile;
+  if (opts.with_sessions) {
+    gen.horizon = std::max(gen.horizon, opts.sopts.horizon);
+    gen.restart_weight = opts.sopts.restart_weight;
   }
-};
-
-class MuxEngine {
- public:
-  MuxEngine(uint64_t seed, const MuxOptions& opts)
-      : opts_(opts), plan_(generate_mux_plan(seed, opts)) {}
-
-  MuxResult run() {
-    res_.groups = plan_.groups.size();
-    res_.horizon = plan_.horizon;
-    hashes_.assign(plan_.groups.size(), 0);
-    active_.assign(plan_.groups.size(), 0);
-    for (const GroupSpec& g : plan_.groups) {
-      push(Entry{g.create_at, seq_++, g.gid, Phase::kCreate});
-      push(Entry{g.retire_at, seq_++, g.gid, Phase::kRetire});
-    }
-    while (!heap_.empty()) {
-      const Entry e = pop();
-      switch (e.phase) {
-        case Phase::kCreate: do_create(e.gid); break;
-        case Phase::kAdvance: do_advance(e.gid); break;
-        case Phase::kRetire: do_retire(e.gid); break;
-      }
-    }
-    // Fold per-group trace hashes in gid order — independent of the
-    // interleaving the heap happened to take.
-    uint64_t h = 1469598103934665603ull;
-    for (uint64_t gh : hashes_) h = mix64(h ^ gh);
-    res_.trace_hash = h;
-    res_.peak_resident = peak_resident_;
-    if (plan_.horizon > 0 && peak_resident_ > 0) {
-      res_.occupancy = static_cast<double>(lifetime_sum_) /
-                       (static_cast<double>(plan_.horizon) * static_cast<double>(peak_resident_));
-    }
-    return std::move(res_);
+  if (opts.exec.fd == fd::DetectorKind::kHeartbeat) {
+    gen = scenario::tuned_for_heartbeat(gen, opts.exec.heartbeat);
+  } else if (opts.exec.fd == fd::DetectorKind::kPhi) {
+    gen = scenario::tuned_for_phi(gen, opts.exec.phi);
   }
+  return scenario::generate(spec.seed, gen);
+}
 
- private:
-  void push(Entry e) {
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(), EntryCmp{});
-  }
-
-  Entry pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), EntryCmp{});
-    Entry e = heap_.back();
-    heap_.pop_back();
-    return e;
-  }
-
-  GroupSlot* slot_of(uint32_t gid) {
-    const int32_t idx = directory_.get(gid);
-    return idx == 0 ? nullptr : slots_[static_cast<size_t>(idx - 1)].get();
-  }
-
-  void do_create(uint32_t gid) {
-    const GroupSpec& spec = plan_.groups[gid];
-    // Acquire a pooled slot (capacity-preserving reuse) or grow the pool.
-    size_t idx;
-    if (!free_slots_.empty()) {
-      idx = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      idx = slots_.size();
-      slots_.push_back(std::make_unique<GroupSlot>());
-    }
-    directory_.at(gid) = static_cast<int32_t>(idx + 1);
-    active_[gid] = 1;
-    ++resident_;
-    peak_resident_ = std::max(peak_resident_, resident_);
-    lifetime_sum_ += spec.retire_at - spec.create_at;
-
-    GroupSlot& slot = *slots_[idx];
-    slot.spec = &spec;
-    slot.concluded = false;
-
-    // Per-group fault schedule: the spec's profile over the shared knobs,
-    // stretched to the session horizon with restart churn mixed in (the
-    // single-group soak sweep's exact recipe), storm-tuned per detector.
-    scenario::GeneratorOptions gen = opts_.gen;
-    gen.profile = spec.profile;
-    if (opts_.with_sessions) {
-      gen.horizon = std::max(gen.horizon, opts_.sopts.horizon);
-      gen.restart_weight = opts_.sopts.restart_weight;
-    }
-    slot.exec = opts_.exec;
-    if (slot.exec.fd == fd::DetectorKind::kHeartbeat) {
-      gen = scenario::tuned_for_heartbeat(gen, slot.exec.heartbeat);
-    } else if (slot.exec.fd == fd::DetectorKind::kPhi) {
-      gen = scenario::tuned_for_phi(gen, slot.exec.phi);
-    }
-    slot.sched = scenario::generate(spec.seed, gen);
-
-    slot.host.reset();
-    if (opts_.with_sessions) {
-      slot.workload = soak::generate_workload(spec.seed, opts_.sopts);
-      // Cross-group sessions: fold this group's logical clients onto the
-      // shared global session ids, so session s drives traffic against
-      // many groups at once.
-      const uint32_t sessions = static_cast<uint32_t>(std::max<size_t>(opts_.sessions, 1));
-      for (soak::WorkloadOp& op : slot.workload.ops) {
-        op.client = (op.client + spec.gid) % sessions;
-      }
-      slot.host.emplace(slot.workload, opts_.sopts);
-      soak::SoakHost* h = &*slot.host;
-      slot.exec.on_pre_start = [h](harness::Cluster& c) { h->attach(c); };
-      slot.exec.on_quiesced = [h](harness::Cluster& c, int pass) {
-        return h->on_quiesced(c, pass);
-      };
-    }
-
-    slot.cluster.reset(scenario::cluster_options_for(slot.sched, slot.exec));
-    slot.run.emplace(slot.cluster, slot.sched, slot.exec);
-    slot.run->install();
-    push(Entry{spec.create_at, seq_++, gid, Phase::kAdvance});
-  }
-
-  void do_advance(uint32_t gid) {
-    if (!active_[gid]) return;  // stale entry: group already retired
-    GroupSlot& slot = *slot_of(gid);
-    if (slot.concluded) return;  // dormant until its scheduled retirement
-    ++res_.turns;
-    if (slot.run->advance(opts_.slice_events)) {
-      harvest(slot);
-      return;
-    }
-    // Re-queue at the group's position on the shared timeline: its local
-    // clock offset by its creation tick.  The seq tiebreak keeps turn
-    // order deterministic even when clocks collide.
-    push(Entry{slot.spec->create_at + slot.cluster.world().now(), seq_++, gid, Phase::kAdvance});
-  }
-
-  void do_retire(uint32_t gid) {
-    GroupSlot& slot = *slot_of(gid);
-    if (!slot.concluded) {
-      // Force-finish: one full-budget advance always concludes (quiesce or
-      // budget exhaustion — the same terminal states execute() has).
-      ++res_.turns;
-      slot.run->advance(slot.exec.max_sim_events);
-      harvest(slot);
-    }
-    slot.run.reset();
-    slot.host.reset();
-    slot.spec = nullptr;
-    const int32_t idx = directory_.get(gid);
-    directory_.at(gid) = 0;
-    active_[gid] = 0;
-    free_slots_.push_back(static_cast<size_t>(idx - 1));
-    --resident_;
-    ++res_.retired;
-  }
-
-  void harvest(GroupSlot& slot) {
-    slot.concluded = true;
-    const GroupSpec& spec = *slot.spec;
-    const scenario::ExecResult& r = slot.run->result();
-    hashes_[spec.gid] = r.trace_hash;
-    if (r.quiesced) ++res_.quiesced;
-    res_.sim_ticks += r.end_tick;
-    res_.messages += r.messages;
-    res_.fd_messages += r.fd_messages;
-    res_.skipped_ticks += r.skipped_ticks;
-    res_.skipped_events += r.skipped_events;
-    res_.aborted_joins += r.aborted_joins;
-
-    bool ok = r.ok();
-    double availability = 0.0;
-    std::string app_msg;
-    if (slot.host) {
-      soak::SoakHost& host = *slot.host;
-      res_.ops_attempted += host.attempted();
-      res_.ops_rejected += host.rejected();
-      res_.sync_passes += host.sync_passes();
-      availability = soak::availability_from_trace(slot.cluster.recorder(), r.end_tick,
-                                                   slot.exec.require_majority);
-      res_.availability_sum += availability;
-      ++res_.availability_runs;
-      soak::AppCheckOptions aopts;
-      aopts.staleness_bound = opts_.sopts.staleness_bound;
-      aopts.check_terminal = r.quiesced && r.liveness_checked;
-      const trace::CheckResult ac =
-          soak::check_app(host.trace(), slot.cluster.recorder(), slot.sched, host.survivors(),
-                          host.final_states(), aopts);
-      if (!ac.ok()) {
-        ok = false;
-        app_msg = ac.message();
-      }
-    }
-
-    if (!ok) {
-      ++res_.failures;
-      if (res_.first_failure.empty()) {
-        std::ostringstream os;
-        os << "group " << spec.gid << " (" << scenario::to_string(spec.profile)
-           << " seed=" << spec.seed << "): " << r.message() << app_msg << "\n"
-           << "schedule:\n"
-           << scenario::encode_schedule(slot.sched);
-        if (slot.host) os << "workload:\n" << soak::encode(slot.workload);
-        res_.first_failure = os.str();
-      }
-    }
-
-    if (opts_.on_group) {
-      const GroupOutcome out{spec.gid,     spec.seed, spec.profile,       slot.sched,
-                             slot.workload, r,         slot.host ? app_msg.empty() : true,
-                             availability};
-      opts_.on_group(out);
-    }
-  }
-
-  const MuxOptions& opts_;
-  MuxPlan plan_;
-  MuxResult res_;
-  std::vector<Entry> heap_;
-  uint64_t seq_ = 0;
-  std::vector<std::unique_ptr<GroupSlot>> slots_;
-  std::vector<size_t> free_slots_;
-  common::TiledArray<int32_t> directory_;  ///< gid -> slot index + 1 (0 = absent)
-  std::vector<uint8_t> active_;
-  std::vector<uint64_t> hashes_;
-  size_t resident_ = 0;
-  size_t peak_resident_ = 0;
-  uint64_t lifetime_sum_ = 0;
-};
+/// Per-group session workload.  Cross-group sessions: the group's logical
+/// clients fold onto the shared global session ids, so session s drives
+/// traffic against many groups at once.
+soak::Workload group_workload(const GroupSpec& spec, const MuxOptions& opts) {
+  soak::Workload w = soak::generate_workload(spec.seed, opts.sopts);
+  const uint32_t sessions = static_cast<uint32_t>(std::max<size_t>(opts.sessions, 1));
+  for (soak::WorkloadOp& op : w.ops) op.client = (op.client + spec.gid) % sessions;
+  return w;
+}
 
 }  // namespace
 
@@ -314,9 +82,94 @@ MuxPlan generate_mux_plan(uint64_t seed, const MuxOptions& opts) {
   return plan;
 }
 
+Residency plan_residency(const MuxPlan& plan) {
+  std::vector<std::pair<Tick, uint64_t>> endpoints;  // (tick, 2·gid + is_retire)
+  endpoints.reserve(2 * plan.groups.size());
+  uint64_t lifetime_sum = 0;
+  for (const GroupSpec& g : plan.groups) {
+    endpoints.emplace_back(g.create_at, 2 * uint64_t{g.gid});
+    endpoints.emplace_back(g.retire_at, 2 * uint64_t{g.gid} + 1);
+    lifetime_sum += g.retire_at - g.create_at;
+  }
+  std::sort(endpoints.begin(), endpoints.end());
+  Residency r;
+  size_t live = 0;
+  for (const auto& [tick, key] : endpoints) {
+    if (key & 1) {
+      --live;
+    } else {
+      r.peak = std::max(r.peak, ++live);
+    }
+  }
+  if (plan.horizon > 0 && r.peak > 0) {
+    r.occupancy = static_cast<double>(lifetime_sum) /
+                  (static_cast<double>(plan.horizon) * static_cast<double>(r.peak));
+  }
+  return r;
+}
+
 MuxResult run_mux(uint64_t seed, const MuxOptions& opts) {
-  MuxEngine engine(seed, opts);
-  return engine.run();
+  const MuxPlan plan = generate_mux_plan(seed, opts);
+  MuxResult res;
+  res.groups = plan.groups.size();
+  res.turns = res.groups;
+  res.horizon = plan.horizon;
+  const Residency live = plan_residency(plan);
+  res.peak_resident = live.peak;
+  res.occupancy = live.occupancy;
+
+  harness::Cluster cluster{harness::ClusterOptions{}};
+  uint64_t hash = 1469598103934665603ull;
+  for (const GroupSpec& spec : plan.groups) {
+    const scenario::Schedule sched = group_schedule(spec, opts);
+    soak::Workload workload;
+    soak::SoakResult r;
+    if (opts.with_sessions) {
+      workload = group_workload(spec, opts);
+      r = soak::run_soak(sched, workload, opts.exec, opts.sopts, cluster);
+      res.ops_attempted += r.ops_attempted;
+      res.ops_rejected += r.ops_rejected;
+      res.sync_passes += r.sync_passes;
+      res.availability_sum += r.availability;
+      ++res.availability_runs;
+    } else {
+      r.exec = scenario::execute(sched, opts.exec, cluster);
+    }
+    const scenario::ExecResult& e = r.exec;
+    // Fold per-group trace hashes in gid order.
+    hash = mix64(hash ^ e.trace_hash);
+    if (e.quiesced) ++res.quiesced;
+    res.sim_ticks += e.end_tick;
+    res.messages += e.messages;
+    res.fd_messages += e.fd_messages;
+    res.skipped_ticks += e.skipped_ticks;
+    res.skipped_events += e.skipped_events;
+    res.aborted_joins += e.aborted_joins;
+    ++res.retired;
+
+    if (!r.ok()) {
+      ++res.failures;
+      if (res.first_failure.empty()) {
+        std::ostringstream os;
+        os << "group " << spec.gid << " (" << scenario::to_string(spec.profile)
+           << " seed=" << spec.seed << "): " << r.message() << "\n"
+           << "schedule:\n"
+           << scenario::encode_schedule(sched);
+        if (opts.with_sessions) os << "workload:\n" << soak::encode(workload);
+        res.first_failure = os.str();
+      }
+    }
+
+    if (opts.on_group) {
+      const GroupOutcome out{spec.gid,         spec.seed,       spec.profile,
+                             sched,            workload,        e,
+                             r.app_check.ok(), r.availability,  r.ops_attempted,
+                             r.ops_rejected};
+      opts.on_group(out);
+    }
+  }
+  res.trace_hash = hash;
+  return res;
 }
 
 }  // namespace gmpx::mux

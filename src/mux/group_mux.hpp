@@ -1,38 +1,35 @@
 #pragma once
-// GroupMux: thousands of multiplexed group deployments in one process.
+// GroupMux: fleets of many small, independent group deployments in one
+// process.
 //
 // Production group-membership services in the ISIS lineage this paper fed
-// into run huge fleets of *small* groups, not one giant group.  One
-// harness::Cluster still owns one deployment and one sim::SimWorld; the mux
-// packs thousands of them into a single process by treating each group as a
-// cheap cohort over a shared global timeline:
+// into run huge fleets of *small* groups, not one giant group.  A seeded
+// churn plan (generate_mux_plan) gives every group id a create tick, a
+// retire tick and one of the five single-group adversary profiles; run_mux
+// runs the whole fleet on one thread:
 //
-//   * Slot pool.  Retired deployments return their Cluster to a pool and
-//     the next create reset()s it (the PR 4 capacity-preserving contract),
-//     so steady-state group churn allocates almost nothing.  Peak pool size
-//     equals peak concurrent residency, never the total group count.
-//   * Cohort activation heap.  A binary heap of (global due tick, seq, gid)
-//     turns orders runnable groups by virtual time; each turn advances one
-//     group's StagedRun by a bounded event slice and re-queues it at
-//     create_at + its local clock.  Groups whose run has concluded go
-//     dormant: no heap entries, no event traffic, until their scheduled
-//     retirement frees the slot.  Idle spans *inside* a group are elided by
-//     the PR 5 skip engine, so 10k+ mostly-idle groups cost only their
-//     reconfig bursts.
-//   * Group directory.  gid -> slot through the tiled array layout
-//     (common/tiled.hpp) — the same tiling that replaced the n > 512
-//     per-pair channel hashing — not per-id hashing.
+//   * One pooled cluster.  Groups never exchange messages, so a group's run
+//     depends only on its own schedule and workload, never on which groups
+//     overlap it in the plan.  run_mux therefore runs the groups one at a
+//     time, in gid order, each to conclusion, on a single harness::Cluster
+//     that is reset() per group (the capacity-preserving reset contract):
+//     the deployment stays cache-hot and steady-state churn allocates
+//     almost nothing.  Idle spans inside a group are elided by the skip
+//     engine, so 10k+ mostly-idle groups cost only their reconfig bursts.
+//   * Plan-derived residency.  MuxResult::peak_resident and occupancy count
+//     concurrently live groups in the *modeled* fleet (a sweep over the
+//     plan's create/retire ticks); the engine itself holds one cluster.
 //   * Cross-group sessions.  Each group carries a seeded registry/work-queue
-//     workload (soak::SoakHost, the exact single-group soak stack) whose
-//     client ids are remapped onto a small set of global session ids, so one
-//     logical client drives traffic against many groups at once.  Runs are
-//     judged end to end: GMP-1..5 via the executor verdict plus APP-R1..R4 /
-//     APP-Q1..Q2 on each group's merged app trace.
+//     workload whose client ids are remapped onto a small set of global
+//     session ids, so one logical client drives traffic against many groups
+//     at once.  Such a group runs through soak::run_soak (the exact
+//     single-group soak stack), a protocol-only group through
+//     scenario::execute; either way it is judged end to end: GMP-1..5 via
+//     the executor verdict plus APP-R1..R4 / APP-Q1..Q2 on its app trace.
 //
-// Groups never exchange messages, so per-group results are independent of
-// the interleaving; a mux run is a pure function of (seed, options).  The
-// sweep treats one mux run as one grid item, which keeps `--jobs`
-// byte-identity for the `groupmux` profile for free.
+// A mux run is a pure function of (seed, options).  The sweep treats one mux
+// run as one grid item, which keeps `--jobs` byte-identity for the
+// `groupmux` profile for free.
 //
 // Oracle-detector groups run through run_to_quiescence (never try_skip), so
 // the oracle axis stays skip-free under the mux — CI asserts it.
@@ -71,8 +68,10 @@ struct GroupOutcome {
   const scenario::Schedule& schedule;
   const soak::Workload& workload;
   const scenario::ExecResult& exec;
-  bool app_ok = true;        ///< APP-* clauses (true when sessions are off)
-  double availability = 0.0; ///< 0 when sessions are off
+  bool app_ok = true;          ///< APP-* clauses (true when sessions are off)
+  double availability = 0.0;   ///< 0 when sessions are off
+  uint64_t ops_attempted = 0;  ///< session ops fired (0 when sessions are off)
+  uint64_t ops_rejected = 0;   ///< ops that found no usable endpoint
 };
 
 struct MuxOptions {
@@ -81,10 +80,6 @@ struct MuxOptions {
   /// Global logical client sessions the per-group workloads are remapped
   /// onto — one session id issues ops against many groups.
   size_t sessions = 8;
-  /// Event budget per scheduling turn.  Small enough that thousands of
-  /// groups interleave fairly; the run loops are resumable, so slicing
-  /// never changes a group's behaviour (pinned by mux_test).
-  uint64_t slice_events = 32'768;
   /// Churn shape: creates land uniformly in [0, spawn_span]; lifetimes are
   /// drawn uniformly from [min_lifetime, max_lifetime].
   Tick spawn_span = 240'000;
@@ -109,14 +104,13 @@ struct MuxOptions {
   /// Attach registry/work-queue session traffic to each group (on by
   /// default; off leaves pure protocol runs).
   bool with_sessions = true;
-  /// Hook invoked once per group at harvest (conclusion) time, in
-  /// deterministic retirement order.
+  /// Hook invoked once per group as it concludes, in gid order.
   std::function<void(const GroupOutcome&)> on_group;
 };
 
 struct MuxResult {
   uint64_t groups = 0;          ///< deployments created (== plan size)
-  uint64_t retired = 0;         ///< slots returned to the pool
+  uint64_t retired = 0;         ///< groups run to conclusion and torn down
   uint64_t failures = 0;        ///< groups whose verdict was not clean
   uint64_t quiesced = 0;        ///< groups that quiesced within budget
   Tick horizon = 0;             ///< global plan horizon (latest retire)
@@ -126,11 +120,13 @@ struct MuxResult {
   uint64_t skipped_ticks = 0;   ///< virtual time fast-forwarded (0 on oracle)
   uint64_t skipped_events = 0;  ///< background events elided
   uint64_t aborted_joins = 0;
-  uint64_t turns = 0;           ///< cohort-heap scheduling turns taken
-  size_t peak_resident = 0;     ///< max concurrently-resident groups
-  /// Mean fraction of the peak slot pool occupied over the plan horizon
-  /// (deterministic, but reported via --stats alongside the wall-clock
-  /// figures because it describes engine load, not run behaviour).
+  uint64_t turns = 0;           ///< one per group: each runs to conclusion in one go
+  /// Concurrently live groups in the modeled fleet (plan_residency): the
+  /// peak, and the mean live count over the plan horizon as a fraction of
+  /// that peak.  Properties of the plan, not of the engine, which holds one
+  /// cluster; deterministic, but reported via --stats alongside the
+  /// wall-clock figures because they describe fleet load, not run behaviour.
+  size_t peak_resident = 0;
   double occupancy = 0.0;
   uint64_t ops_attempted = 0;   ///< session ops fired across all groups
   uint64_t ops_rejected = 0;    ///< ops that found no usable endpoint
@@ -139,7 +135,7 @@ struct MuxResult {
   uint64_t availability_runs = 0;
   /// splitmix fold of per-group trace hashes in gid order.
   uint64_t trace_hash = 0;
-  /// First failing group's rendered report (empty when all clean).
+  /// Lowest failing gid's rendered report (empty when all clean).
   std::string first_failure;
 
   bool ok() const { return failures == 0; }
@@ -152,10 +148,18 @@ struct MuxResult {
 /// seeds and fault profiles.  Exposed for tests and the bench A/B loop.
 MuxPlan generate_mux_plan(uint64_t seed, const MuxOptions& opts);
 
-/// Run the full plan to completion on one thread.  Pure function of
-/// (seed, opts): the result — including the trace-hash fold — is identical
-/// for any slice_events that preserves per-group budgets, and independent
-/// of everything outside this call.
+/// Concurrently live groups in the modeled fleet: the plan's create and
+/// retire endpoints swept in (tick, 2·gid + is_retire) order, so at a shared
+/// tick endpoints apply in gid order, a group's create before its retire.
+struct Residency {
+  size_t peak = 0;         ///< max groups live at once
+  double occupancy = 0.0;  ///< summed lifetimes / (horizon x peak)
+};
+Residency plan_residency(const MuxPlan& plan);
+
+/// Run the full plan to completion on one thread: every group in gid order
+/// on one pooled cluster.  Pure function of (seed, opts), independent of
+/// everything outside this call.
 MuxResult run_mux(uint64_t seed, const MuxOptions& opts);
 
 }  // namespace gmpx::mux

@@ -37,8 +37,8 @@ harness::ClusterOptions cluster_options_for(const Schedule& s, const ExecOptions
 
 // ---------------------------------------------------------------------------
 // StagedRun::Impl — the executor body as an explicit state machine.  The
-// one-shot execute() path runs it install() -> advance(full budget); the
-// GroupMux advances it in bounded slices, many runs interleaved.  Everything
+// one-shot execute() path runs it install() -> advance(full budget); a
+// caller may instead advance it in bounded slices.  Everything
 // here is the former execute_on() body, restructured but not rephrased: the
 // scripted closures fire the same world.at() calls in the same order, so the
 // fuzz grid stays byte-identical.
@@ -133,7 +133,7 @@ struct StagedRun::Impl {
         case EventType::kLeave:
           // (Closures here capture this Impl and the schedule by reference:
           // both outlive the simulation run they are fired in — stack-local
-          // for execute(), slot-resident for the mux.)
+          // for execute(), owned by the caller for a StagedRun.)
           world.at(e.at, [this, p = e.target] {
             if (Context* ctx = cluster.world().context_of(p)) {
               if (cluster.has_node(p)) cluster.node(p).leave(*ctx);
@@ -222,7 +222,7 @@ struct StagedRun::Impl {
 
   /// One "run until nothing protocol-level is happening" round; re-runnable
   /// so the soak hook can inject app sync/dispatch traffic after quiescence
-  /// and settle again — and so the mux can hand it a bounded slice budget.
+  /// and settle again — and so a caller can hand it a bounded slice budget.
   bool quiesce_round(uint64_t budget) {
     if (timeout_fd) {
       // Real timeout detection: standoffs resolve natively (mutual timeout),

@@ -115,20 +115,19 @@ struct ExecResult {
 };
 
 /// The cluster configuration execute() derives from (s, opts) — exposed so
-/// pooled callers (the GroupMux slot pool) can reset() a slot for a
-/// StagedRun themselves.
+/// pooled callers can reset() a cluster for a StagedRun themselves.
 harness::ClusterOptions cluster_options_for(const Schedule& s, const ExecOptions& opts);
 
 /// Incremental form of execute(): the same scripting, quiescence endgame
-/// and verdict, split into explicit phases so a multiplexer can advance
-/// many runs concurrently in bounded event slices.  execute() is exactly
+/// and verdict, split into explicit phases so a caller can time each phase
+/// or advance the run in bounded event slices.  execute() is exactly
 /// `install(); advance(opts.max_sim_events);` — one schedule still means
 /// one behaviour, whatever the slicing (the run loops are resumable, so
 /// the event sequence is independent of where the pauses fall).
 class StagedRun {
  public:
   /// `cluster`, `s` and `opts` must outlive this object: scripted events
-  /// capture them by reference (the mux keeps all three in the group slot).
+  /// capture them by reference.
   /// The cluster must already be configured for (s, opts) — fresh-built or
   /// reset() with cluster_options_for().
   StagedRun(harness::Cluster& cluster, const Schedule& s, const ExecOptions& opts);

@@ -142,7 +142,7 @@ void render_soak(SweepRun& out, const Schedule& sched, const soak::Workload& w,
 
 /// Groupmux-run report: mux-plan aggregates, every field deterministic
 /// (occupancy and groups/s are --stats-only, with the other wall-clock
-/// figures).  On failure the first failing group's full report — verdict,
+/// figures).  On failure the lowest failing gid's full report — verdict,
 /// encoded schedule, encoded workload — is appended; the repro path is the
 /// single-group replay of that (profile, seed) pair, so no joint
 /// minimization runs here.

@@ -56,9 +56,10 @@ struct SweepRun {
   // Groupmux profile only — mux-plan aggregates:
   uint64_t groups = 0;           ///< deployments the plan created
   uint64_t groups_failed = 0;    ///< groups with a dirty verdict
-  size_t peak_resident = 0;      ///< max concurrently-live deployments
-  /// Mean slot-pool occupancy over the plan horizon.  Deterministic, but
-  /// reported through --stats with the wall-clock figures (engine load).
+  size_t peak_resident = 0;      ///< max concurrently live groups in the plan
+  /// Mean live-group count over the plan horizon as a fraction of the peak
+  /// (mux::plan_residency).  Deterministic, but reported through --stats
+  /// with the wall-clock figures (fleet load).
   double occupancy = 0.0;
   std::string report;            ///< rendered lines ("" for a quiet pass)
   // Failure artifacts (empty on success):

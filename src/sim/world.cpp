@@ -124,6 +124,7 @@ void SimWorld::reset(uint64_t seed, DelayModel delays) {
   burst_events_ = 0;  // burst_mode_ survives: engine config, not run state
   fg_pending_ = 0;
   quiesce_dirty_ = false;
+  settle_open_ = false;
   delays_ = delays;
   faults_ = {};
   rng_ = Rng(seed);
@@ -793,56 +794,63 @@ bool SimWorld::run_until_idle(uint64_t max_events) {
 
 bool SimWorld::run_until_protocol_idle(Tick settle, uint64_t max_events) {
   uint64_t steps = 0;
-  for (;;) {
-    // Drain foreground work (protocol deliveries, scripts, crashes, plain
-    // timers), fast-forwarding across pure-background spans between them —
-    // a scripted fault thousands of ticks out no longer costs every ping
-    // wave in between.  Stale cancelled-timer heap entries are not counted
-    // in fg_pending_, so the counter reaching zero really means only
-    // detector upkeep is left.
-    while (fg_pending_ > 0) {
-      if (steps >= max_events) return false;
-      if (try_skip()) continue;
-      ++steps;
-      if (!step()) return true;
-    }
-    if (queue_.empty()) return true;
-    // Only background events remain.  A horizon-capable background layer
-    // answers the quiescence question exactly: kNeverTick certifies that
-    // no detection can ever fire (protocol idle now — the remaining upkeep
-    // is noise), and a finite future horizon is jumped to and stepped,
-    // whereupon the detection either fires (fresh foreground work re-opens
-    // the drain) or the horizon moves out.  A horizon at `now` means
-    // "unknown; anything could fire" (the default implementation, or the
-    // heartbeat detector under storm delays) — fall through to the legacy
-    // settle window, which is exactly how skip-free runs conclude.
-    if (horizon_fn_) {
-      const Tick h = horizon_fn_(now_);
-      if (h == kNeverTick) return true;
-      if (h > now_) {
-        if (try_skip()) continue;
+  for (;; settle_open_ = false) {
+    if (!settle_open_) {
+      // Drain foreground work (protocol deliveries, scripts, crashes, plain
+      // timers), fast-forwarding across pure-background spans between them
+      // — a scripted fault thousands of ticks out no longer costs every
+      // ping wave in between.  Stale cancelled-timer heap entries are not
+      // counted in fg_pending_, so the counter reaching zero really means
+      // only detector upkeep is left.
+      while (fg_pending_ > 0) {
         if (steps >= max_events) return false;
+        if (try_skip()) continue;
         ++steps;
-        step();
-        continue;
+        if (!step()) return true;
       }
+      if (queue_.empty()) return true;
+      // Only background events remain.  A horizon-capable background layer
+      // answers the quiescence question exactly: kNeverTick certifies that
+      // no detection can ever fire (protocol idle now — the remaining
+      // upkeep is noise), and a finite future horizon is jumped to and
+      // stepped, whereupon the detection either fires (fresh foreground
+      // work re-opens the drain) or the horizon moves out.  A horizon at
+      // `now` means "unknown; anything could fire" (the default
+      // implementation, or the heartbeat detector under storm delays) —
+      // fall through to the legacy settle window, which is exactly how
+      // skip-free runs conclude.
+      if (horizon_fn_) {
+        const Tick h = horizon_fn_(now_);
+        if (h == kNeverTick) return true;
+        if (h > now_) {
+          if (try_skip()) continue;
+          if (steps >= max_events) return false;
+          ++steps;
+          step();
+          continue;
+        }
+      }
+      // Settle-window criterion: advance through background events for a
+      // full settle window; any detection that is already inevitable (a
+      // peer whose silence exceeds the timeout) fires within it and
+      // re-opens the drain.  A *death* inside the window also re-opens it —
+      // a process can quit from a background timeout (lost majority)
+      // without emitting a single foreground event, and noticing the fresh
+      // silence takes detectors another full timeout.
+      quiesce_dirty_ = false;
+      settle_deadline_ = now_ + settle;
+      settle_open_ = true;
     }
-    // Settle-window criterion: advance through background events for a
-    // full settle window; any detection that is already inevitable (a peer
-    // whose silence exceeds the timeout) fires within it and re-opens the
-    // drain.  A *death* inside the window also re-opens it — a process can
-    // quit from a background timeout (lost majority) without emitting a
-    // single foreground event, and noticing the fresh silence takes
-    // detectors another full timeout.
-    quiesce_dirty_ = false;
-    const Tick deadline = now_ + settle;
     bool busy = false;
-    while (!queue_.empty() && queue_.front().time <= deadline && !busy) {
-      if (steps++ >= max_events) return false;
+    while (!queue_.empty() && queue_.front().time <= settle_deadline_ && !busy) {
+      if (steps++ >= max_events) return false;  // the window stays open
       step();
       busy = fg_pending_ > 0 || quiesce_dirty_;
     }
-    if (!busy) return true;
+    if (!busy) {
+      settle_open_ = false;
+      return true;
+    }
   }
 }
 

@@ -298,9 +298,11 @@ class SimWorld {
   /// legacy criterion applies: advance through background events for a
   /// full `settle` window and conclude when it produces no foreground
   /// work.  Returns true on protocol quiescence (or a drained queue),
-  /// false on the event budget.  Choose `settle` >= detector timeout +
-  /// ping interval + worst channel delay so any detection that is already
-  /// inevitable fires inside the window.
+  /// false on the event budget; a settle window the budget cut short stays
+  /// open, and the next call resumes it at the same deadline, so a run
+  /// advanced in budget slices settles exactly like one uncut call.  Choose
+  /// `settle` >= detector timeout + ping interval + worst channel delay so
+  /// any detection that is already inevitable fires inside the window.
   bool run_until_protocol_idle(Tick settle, uint64_t max_events = 50'000'000);
 
   /// Earliest-effect horizon of the background layer: called with the
@@ -606,6 +608,9 @@ class SimWorld {
   // what detectors must still notice (the fresh silence needs another full
   // timeout), even when the quit itself produced no foreground event.
   bool quiesce_dirty_ = false;
+  // A settle window left open by run_until_protocol_idle's event budget.
+  bool settle_open_ = false;
+  Tick settle_deadline_ = 0;
   DelayModel delays_;
   ChannelFaults faults_;
   Rng rng_;

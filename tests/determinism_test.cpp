@@ -8,10 +8,15 @@
 // --jobs value.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "harness/cluster.hpp"
 #include "scenario/executor.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/sweep.hpp"
+#include "soak/host.hpp"
+#include "soak/workload.hpp"
 
 using namespace gmpx;
 using namespace gmpx::scenario;
@@ -31,6 +36,30 @@ void expect_same_result(const ExecResult& a, const ExecResult& b) {
   EXPECT_EQ(a.skipped_ticks, b.skipped_ticks);
   EXPECT_EQ(a.skipped_events, b.skipped_events);
   EXPECT_EQ(a.aborted_joins, b.aborted_joins);
+}
+
+/// Every ExecResult field, telemetry and diagnostic included — except the
+/// burst count: a slice boundary inside a same-tick batch splits it into
+/// two drains.  The events dispatched through bursts must still match.
+void expect_slice_invisible(const ExecResult& a, const ExecResult& b) {
+  expect_same_result(a, b);
+  EXPECT_EQ(a.fd_messages, b.fd_messages);
+  EXPECT_EQ(a.burst_events, b.burst_events);
+  EXPECT_EQ(a.diagnostic, b.diagnostic);
+  EXPECT_EQ(a.message(), b.message());
+}
+
+/// Replay `s` through a StagedRun advanced `slice` events at a time on a
+/// fresh cluster; `slices` counts the advance() calls.
+ExecResult run_sliced(const Schedule& s, const ExecOptions& opts, uint64_t slice,
+                      size_t& slices) {
+  harness::Cluster cluster(cluster_options_for(s, opts));
+  StagedRun run(cluster, s, opts);
+  run.install();
+  slices = 1;
+  while (!run.advance(slice)) ++slices;
+  EXPECT_TRUE(run.done());
+  return run.take_result();
 }
 
 }  // namespace
@@ -175,6 +204,76 @@ TEST(Determinism, BurstMatchesSingleStepEveryProfileAndDetector) {
       // have dispatched.  Zero bursts on these axes pins that contract.
       EXPECT_FALSE(any_burst) << fd::to_string(detector);
     }
+  }
+}
+
+TEST(Determinism, StagedRunSlicesMatchExecute) {
+  // StagedRun is resumable: advancing it 64 events at a time pauses the
+  // run at arbitrary points — settle windows of the timeout detectors
+  // included — and the event sequence must not notice: the result equals
+  // the one-shot execute()'s.
+  for (fd::DetectorKind detector : {fd::DetectorKind::kOracle, fd::DetectorKind::kHeartbeat,
+                                    fd::DetectorKind::kPhi}) {
+    ExecOptions exec;
+    exec.fd = detector;
+    size_t paused = 0;
+    for (Profile p : {Profile::kMixed, Profile::kChurnHeavy, Profile::kPartitionHeavy,
+                      Profile::kBurstCrash, Profile::kLossy}) {
+      GeneratorOptions gen;
+      gen.profile = p;
+      if (detector == fd::DetectorKind::kHeartbeat) gen = tuned_for_heartbeat(gen, exec.heartbeat);
+      if (detector == fd::DetectorKind::kPhi) gen = tuned_for_phi(gen, exec.phi);
+      for (uint64_t seed : {3ull, 17ull}) {
+        Schedule s = generate(seed, gen);
+        SCOPED_TRACE(std::string(to_string(p)) + "/" + fd::to_string(detector) +
+                     " seed=" + std::to_string(seed));
+        const ExecResult whole = execute(s, exec);
+        size_t slices = 0;
+        const ExecResult sliced = run_sliced(s, exec, 64, slices);
+        expect_slice_invisible(whole, sliced);
+        if (slices > 1) ++paused;
+      }
+    }
+    // A run that quiesces within its first slice never pauses; at least
+    // half of each detector's ten runs must.
+    EXPECT_GE(paused, 5u) << fd::to_string(detector);
+  }
+}
+
+TEST(Determinism, StagedRunSlicesMatchExecuteWithSoakHooks) {
+  // The same with the soak application layer attached: on_pre_start
+  // scripts client ops, on_quiesced drives sync rounds after the sliced
+  // run settles.  Both the verdict and the app host's counters must match.
+  soak::SoakOptions sopts;
+  sopts.horizon = 60'000;
+  sopts.ops = 24;
+  ExecOptions exec;
+  exec.fd = fd::DetectorKind::kHeartbeat;
+  GeneratorOptions gen = tuned_for_heartbeat({}, exec.heartbeat);
+  gen.horizon = std::max(gen.horizon, sopts.horizon);
+  gen.restart_weight = sopts.restart_weight;
+  auto hooked = [&exec](soak::SoakHost& host) {
+    ExecOptions o = exec;
+    o.on_pre_start = [&host](harness::Cluster& c) { host.attach(c); };
+    o.on_quiesced = [&host](harness::Cluster& c, int pass) { return host.on_quiesced(c, pass); };
+    return o;
+  };
+  for (uint64_t seed : {2ull, 9ull, 21ull}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const Schedule s = generate(seed, gen);
+    const soak::Workload w = soak::generate_workload(seed, sopts);
+    soak::SoakHost whole_host(w, sopts);
+    const ExecResult whole = execute(s, hooked(whole_host));
+    soak::SoakHost sliced_host(w, sopts);
+    size_t slices = 0;
+    const ExecResult sliced = run_sliced(s, hooked(sliced_host), 64, slices);
+    expect_slice_invisible(whole, sliced);
+    EXPECT_GT(slices, 1u) << "the run never paused";
+    EXPECT_GT(whole_host.attempted(), 0u);
+    EXPECT_EQ(whole_host.attempted(), sliced_host.attempted());
+    EXPECT_EQ(whole_host.rejected(), sliced_host.rejected());
+    EXPECT_EQ(whole_host.sync_passes(), sliced_host.sync_passes());
+    EXPECT_EQ(whole_host.converged_flag(), sliced_host.converged_flag());
   }
 }
 

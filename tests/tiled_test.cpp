@@ -1,5 +1,5 @@
-// Tiled sparse containers (common/tiled.hpp): the layout behind the
-// n > 512 channel state in SimWorld and the GroupMux group directory.
+// Tiled sparse container (common/tiled.hpp): the layout behind the
+// n > 512 channel state in SimWorld.
 // Pins the semantics the users rely on: value-initialised reads off live
 // tiles, exact boundary indexing at the 64-cell tile edges, deterministic
 // row-major enumeration, and the pool/reset lifecycle (clear() recycles
@@ -11,7 +11,6 @@
 
 #include "common/tiled.hpp"
 
-using gmpx::common::TiledArray;
 using gmpx::common::TiledGrid;
 
 TEST(TiledGrid, DefaultReadsAreValueInitialised) {
@@ -80,34 +79,4 @@ TEST(TiledGrid, ClearRecyclesTilesThroughThePool) {
   EXPECT_EQ(g.live_tiles(), 1u);
   EXPECT_EQ(g.get(0, 0), 9u);
   EXPECT_EQ(g.get(0, 1), 0u);  // the recycled tile came back zeroed
-}
-
-TEST(TiledArray, DefaultsBoundariesAndClear) {
-  TiledArray<int32_t> a;
-  EXPECT_EQ(a.get(0), 0);
-  EXPECT_EQ(a.get(1u << 20), 0);
-  // 1024-cell tiles: 1023/1024 straddle the first edge.
-  a.at(1023) = -5;
-  a.at(1024) = 6;
-  EXPECT_EQ(a.get(1023), -5);
-  EXPECT_EQ(a.get(1024), 6);
-  a.clear();
-  EXPECT_EQ(a.get(1023), 0);
-  EXPECT_EQ(a.get(1024), 0);
-  // Pool reuse: the recycled tile reads zeroed.
-  a.at(1023) = 7;
-  EXPECT_EQ(a.get(1023), 7);
-  EXPECT_EQ(a.get(1022), 0);
-}
-
-TEST(TiledArray, SparseHighIndices) {
-  // The GroupMux directory shape: group ids dense in ranges, sparse
-  // overall.  Far-apart ids land in distinct tiles without touching the
-  // space between.
-  TiledArray<int32_t> a;
-  a.at(3) = 1;
-  a.at(50'000) = 2;
-  EXPECT_EQ(a.get(3), 1);
-  EXPECT_EQ(a.get(50'000), 2);
-  EXPECT_EQ(a.get(25'000), 0);
 }

@@ -62,8 +62,8 @@ void usage() {
                "                 [--soak] [--soak-horizon T] [--soak-clients N]\n"
                "                 [--soak-ops N] [--soak-mix W:R:T]\n"
                "                 [--mux] [--mux-groups N] [--mux-sessions N]\n"
-               "                 [--mux-slice K] [--mux-spawn-span T]\n"
-               "                 [--mux-lifetime LO:HI] [--mux-no-sessions]\n"
+               "                 [--mux-spawn-span T] [--mux-lifetime LO:HI]\n"
+               "                 [--mux-no-sessions]\n"
                "                 [--exec sim|tcp] [--tick-us U|auto] [--base-port P]\n"
                "                 [--node-bin PATH]\n"
                "                 [--replay FILE [--minimize]] [-v] [--stats] [--no-burst]\n"
@@ -105,14 +105,14 @@ void usage() {
                "--mux is shorthand for --profile groupmux: every seed names a whole\n"
                "group-churn plan — --mux-groups pooled deployments created and retired\n"
                "over a --mux-spawn-span window with lifetimes in --mux-lifetime,\n"
-               "each drawing one of the five single-group profiles, multiplexed\n"
-               "through one process over a shared slot pool (slices of --mux-slice\n"
-               "events per turn) with per-group client sessions folded onto\n"
-               "--mux-sessions global session ids (--mux-no-sessions disables the\n"
-               "app layer).  Every group is judged like a single-group soak run;\n"
-               "artifacts for the first failing group land in the report.  groupmux\n"
-               "is sim-only and never part of \"all\" (one mux run costs ~a dozen\n"
-               "soak runs, and pre-existing sweep output stays byte-identical).\n"
+               "each drawing one of the five single-group profiles, run one at a time\n"
+               "in one process on a single pooled cluster, with per-group client\n"
+               "sessions folded onto --mux-sessions global session ids\n"
+               "(--mux-no-sessions disables the app layer).  Every group is judged\n"
+               "like a single-group soak run; artifacts for the lowest failing group\n"
+               "id land in the report.  groupmux is sim-only and never part of \"all\"\n"
+               "(one mux run costs ~a dozen soak runs, and pre-existing sweep output\n"
+               "stays byte-identical).\n"
                "--tick-us auto calibrates the real-time tick from the host's measured\n"
                "scheduler jitter at startup instead of using the fixed default.\n");
 }
@@ -341,12 +341,6 @@ bool parse_args(int argc, char** argv, Args& a) {
       unsigned long n = v ? std::strtoul(v, &end, 10) : 0;
       if (!v || end == v || *end != '\0' || n == 0) return false;
       a.mux.sessions = n;
-    } else if (arg == "--mux-slice") {
-      const char* v = next();
-      char* end = nullptr;
-      unsigned long long n = v ? std::strtoull(v, &end, 10) : 0;
-      if (!v || end == v || *end != '\0' || n == 0) return false;
-      a.mux.slice_events = n;
     } else if (arg == "--mux-spawn-span") {
       const char* v = next();
       char* end = nullptr;
@@ -562,8 +556,8 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long>(run.skipped_ticks),
                   static_cast<unsigned long>(run.skipped_events));
       if (a.soak) std::printf(" avail=%.3f", run.availability);
-      // Mux occupancy is deterministic, but it describes engine load (like
-      // allocs=, it belongs to the telemetry line, not the report).
+      // Mux residency is deterministic, but it describes the modeled fleet's
+      // load (like allocs=, it belongs to the telemetry line, not the report).
       if (run.groups) {
         std::printf(" groups=%lu resident=%zu occ=%.3f",
                     static_cast<unsigned long>(run.groups), run.peak_resident,
@@ -633,10 +627,11 @@ int main(int argc, char** argv) {
           static_cast<double>(bursts) / static_cast<double>(runs));
       if (mux_runs) {
         // Mux throughput: whole pooled deployments concluded per second of
-        // summed run_mux() wall time, plus mean slot-pool occupancy.  Like
+        // summed run_mux() wall time, plus the mean occupancy of the
+        // modeled fleet (concurrently live groups of each plan).  Like
         // everything on stats lines, groups/s is wall clock (NOT jobs-
         // stable); occupancy is deterministic but lives here because it
-        // describes engine load, not run behaviour.
+        // describes fleet load, not run behaviour.
         std::printf(" (mux: %.1f groups/s over %lu plans, mean occupancy=%.3f)",
                     ns ? 1e9 * static_cast<double>(mux_groups) / ns : 0.0,
                     static_cast<unsigned long>(mux_runs),
